@@ -31,7 +31,7 @@ const (
 type AckPolicy struct {
 	Kind AckKind
 	// K is the number of standby replicas that must hold a commit before it
-	// is acknowledged. Ignored for AckKindLocal; defaults to 1 otherwise.
+	// is acknowledged. Ignored for AckKindLocal; zero means 1 otherwise (see Effective).
 	K int
 }
 
@@ -76,6 +76,15 @@ func (a AckPolicy) String() string {
 
 // Remote reports whether the policy involves replicas at all.
 func (a AckPolicy) Remote() bool { return a.Kind != AckKindLocal }
+
+// Effective returns the policy a Logger enforces: a remote policy with no
+// quorum size waits for one replica.
+func (a AckPolicy) Effective() AckPolicy {
+	if a.Remote() && a.K == 0 {
+		a.K = 1
+	}
+	return a
+}
 
 // DefaultReplicas is the standby count a replicated deployment gets when
 // none is configured.

@@ -203,6 +203,26 @@ func TestParseAckPolicy(t *testing.T) {
 	}
 }
 
+// TestAckPolicyEffective: a remote policy with no quorum size waits for one
+// replica; an explicit K and the local policy pass through unchanged.
+func TestAckPolicyEffective(t *testing.T) {
+	cases := []struct {
+		in   AckPolicy
+		want AckPolicy
+	}{
+		{AckLocal(), AckLocal()},
+		{AckQuorum(0), AckQuorum(1)},
+		{AckRemoteOnly(0), AckRemoteOnly(1)},
+		{AckQuorum(2), AckQuorum(2)},
+		{AckRemoteOnly(3), AckRemoteOnly(3)},
+	}
+	for _, c := range cases {
+		if got := c.in.Effective(); got != c.want {
+			t.Fatalf("%+v.Effective() = %+v, want %+v", c.in, got, c.want)
+		}
+	}
+}
+
 // countedReplicator exposes how many replicas back the fake, the way the
 // real Shipper does via ReplicaCount.
 type countedReplicator struct {

@@ -81,6 +81,27 @@ func (s State) String() string {
 	}
 }
 
+// Fixed model constants of the buffered-write path and the drain daemon.
+const (
+	// drainBatch is the max entries coalesced per drain round.
+	drainBatch = 64
+	// copyBandwidth models the hypervisor's buffer copy, bytes/s.
+	copyBandwidth = 5e9
+	// ackOverhead is the fixed cost of the buffered-write path (request
+	// validation, bookkeeping).
+	ackOverhead = 2 * time.Microsecond
+	// drainRetryLimit bounds how many times one backing write is attempted
+	// before the Logger gives up on the drain and degrades.
+	drainRetryLimit = 6
+	// drainRetryBase/drainRetryCap shape the exponential backoff between
+	// attempts (base, base·2, base·4, … capped).
+	drainRetryBase = 2 * time.Millisecond
+	drainRetryCap  = 256 * time.Millisecond
+	// drainProbeEvery is how often a degraded Logger re-tries its stranded
+	// batch, hoping the fault cleared.
+	drainProbeEvery = time.Second
+)
+
 // Config parameterises a Logger.
 type Config struct {
 	Name string
@@ -90,24 +111,6 @@ type Config struct {
 	// Unsafe skips the MaxBuffer ≤ SafeBufferSize check. Used by ablation
 	// A3 to demonstrate exactly why the bound matters.
 	Unsafe bool
-	// DrainBatch is the max entries coalesced per drain round; default 64.
-	DrainBatch int
-	// CopyBandwidth models the hypervisor's buffer copy, bytes/s; default
-	// 5 GB/s.
-	CopyBandwidth float64
-	// AckOverhead is the fixed cost of the buffered-write path (request
-	// validation, bookkeeping); default 2µs.
-	AckOverhead time.Duration
-	// DrainRetryLimit bounds how many times one backing write is attempted
-	// before the Logger gives up on the drain and degrades; default 6.
-	DrainRetryLimit int
-	// DrainRetryBase/DrainRetryCap shape the exponential backoff between
-	// attempts (base, base·2, base·4, … capped); defaults 2ms / 256ms.
-	DrainRetryBase time.Duration
-	DrainRetryCap  time.Duration
-	// DrainProbeEvery is how often a degraded Logger re-tries its stranded
-	// batch, hoping the fault cleared; default 1s.
-	DrainProbeEvery time.Duration
 	// Obs, when set, registers the Logger's instruments centrally and
 	// traces the buffer lifecycle (hv_ack through durable/dump_done) —
 	// the events the durability-exposure audit replays.
@@ -124,30 +127,7 @@ func (c *Config) applyDefaults() {
 	if c.Name == "" {
 		c.Name = "rapilog"
 	}
-	if c.DrainBatch == 0 {
-		c.DrainBatch = 64
-	}
-	if c.CopyBandwidth == 0 {
-		c.CopyBandwidth = 5e9
-	}
-	if c.AckOverhead == 0 {
-		c.AckOverhead = 2 * time.Microsecond
-	}
-	if c.DrainRetryLimit == 0 {
-		c.DrainRetryLimit = 6
-	}
-	if c.DrainRetryBase == 0 {
-		c.DrainRetryBase = 2 * time.Millisecond
-	}
-	if c.DrainRetryCap == 0 {
-		c.DrainRetryCap = 256 * time.Millisecond
-	}
-	if c.DrainProbeEvery == 0 {
-		c.DrainProbeEvery = time.Second
-	}
-	if c.Policy.Remote() && c.Policy.K == 0 {
-		c.Policy.K = 1
-	}
+	c.Policy = c.Policy.Effective()
 }
 
 // Stats exposes the Logger's own counters (distinct from the backing
@@ -425,10 +405,10 @@ func (l *Logger) Sectors() int64 { return l.backing.Sectors() }
 
 // SeqWriteBandwidth implements disk.Device: the guest-visible write
 // bandwidth is the copy bandwidth, not the disk's.
-func (l *Logger) SeqWriteBandwidth() float64 { return l.cfg.CopyBandwidth }
+func (l *Logger) SeqWriteBandwidth() float64 { return copyBandwidth }
 
 // WorstCaseAccess implements disk.Device.
-func (l *Logger) WorstCaseAccess() time.Duration { return l.cfg.AckOverhead }
+func (l *Logger) WorstCaseAccess() time.Duration { return ackOverhead }
 
 // Stats implements disk.Device (the backing device's counters).
 func (l *Logger) Stats() *disk.Stats { return l.backing.Stats() }
@@ -474,7 +454,7 @@ func (l *Logger) Write(p *sim.Proc, lba int64, data []byte, fua bool) error {
 		// replicas must see the new bytes too — their copy of the old
 		// version is now a stale shadow of what will reach the disk.
 		seq := l.ship(lba, data, e.span)
-		p.Sleep(l.cfg.AckOverhead + time.Duration(float64(len(data))/l.cfg.CopyBandwidth*float64(time.Second)))
+		p.Sleep(ackOverhead + time.Duration(float64(len(data))/copyBandwidth*float64(time.Second)))
 		l.waitPolicy(p, seq)
 		l.stats.Writes.Inc()
 		l.stats.AckLatency.Observe(p.Now().Sub(start))
@@ -516,7 +496,7 @@ func (l *Logger) Write(p *sim.Proc, lba int64, data []byte, fua bool) error {
 
 	// The guest-visible cost: fixed overhead plus the memory copy — plus,
 	// under a quorum policy, the replication round trip.
-	p.Sleep(l.cfg.AckOverhead + time.Duration(float64(len(data))/l.cfg.CopyBandwidth*float64(time.Second)))
+	p.Sleep(ackOverhead + time.Duration(float64(len(data))/copyBandwidth*float64(time.Second)))
 	l.waitPolicy(p, seq)
 	l.stats.Writes.Inc()
 	l.stats.AckLatency.Observe(p.Now().Sub(start))
@@ -594,7 +574,7 @@ func (l *Logger) releaseIO() {
 // (power loss or the emergency already declared), or the final classified
 // error once the retry budget is spent.
 func (l *Logger) writeBackingRetry(p *sim.Proc, lba int64, data []byte) error {
-	delay := l.cfg.DrainRetryBase
+	delay := drainRetryBase
 	for attempt := 1; ; attempt++ {
 		err := l.backing.Write(p, lba, data, true)
 		if err == nil {
@@ -603,7 +583,7 @@ func (l *Logger) writeBackingRetry(p *sim.Proc, lba int64, data []byte) error {
 		if l.emergency || errors.Is(err, disk.ErrNoPower) {
 			return errHalted
 		}
-		if attempt >= l.cfg.DrainRetryLimit || !disk.IsTransient(err) {
+		if attempt >= drainRetryLimit || !disk.IsTransient(err) {
 			return err
 		}
 		l.stats.BackingRetries.Inc()
@@ -612,8 +592,8 @@ func (l *Logger) writeBackingRetry(p *sim.Proc, lba int64, data []byte) error {
 		if l.emergency {
 			return errHalted
 		}
-		if delay *= 2; delay > l.cfg.DrainRetryCap {
-			delay = l.cfg.DrainRetryCap
+		if delay *= 2; delay > drainRetryCap {
+			delay = drainRetryCap
 		}
 	}
 }
@@ -698,7 +678,7 @@ func (l *Logger) spawnDrainer(hvDom *sim.Domain) {
 				if !l.degraded {
 					l.degrade(p, err)
 				}
-				l.dirtySig.WaitTimeout(p, l.cfg.DrainProbeEvery)
+				l.dirtySig.WaitTimeout(p, drainProbeEvery)
 			}
 		}
 	})
@@ -709,8 +689,8 @@ func (l *Logger) spawnDrainer(hvDom *sim.Domain) {
 // (writes are idempotent — a later round simply re-lands the same sectors).
 func (l *Logger) drainRound(p *sim.Proc) error {
 	batch := len(l.pending)
-	if batch > l.cfg.DrainBatch {
-		batch = l.cfg.DrainBatch
+	if batch > drainBatch {
+		batch = drainBatch
 	}
 	l.draining = batch
 	// Entries entering the drain can no longer be absorbed into.

@@ -9,7 +9,7 @@ import (
 )
 
 // ErrLockTimeout aborts a transaction whose lock wait exceeded the
-// configured bound — the backstop behind exact deadlock detection.
+// lock-wait bound — the backstop behind exact deadlock detection.
 var ErrLockTimeout = errors.New("engine: lock wait timeout")
 
 // ErrDeadlock aborts the transaction whose lock request closed a cycle in
@@ -56,10 +56,10 @@ type lockReq struct {
 	granted *sim.Event
 }
 
+// lockTimeout is the engine's lock-wait bound.
+const lockTimeout = 200 * time.Millisecond
+
 func newLockTable(s *sim.Sim, timeout time.Duration) *lockTable {
-	if timeout == 0 {
-		timeout = 200 * time.Millisecond
-	}
 	return &lockTable{s: s, timeout: timeout, locks: make(map[string]*lock), waiting: make(map[uint64]*lock)}
 }
 

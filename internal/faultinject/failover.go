@@ -2,9 +2,7 @@ package faultinject
 
 import (
 	"fmt"
-	"runtime"
 	"sort"
-	"sync"
 	"time"
 
 	"repro/internal/engine"
@@ -146,6 +144,8 @@ type FailoverSummary struct {
 	SplitBrains int // trials where the single-writer invariant fired
 	Incomplete  int // trials with != 1 failover or no post-takeover commit
 	Errors      int
+	// MonitorViolations totals the online monitor's findings across trials.
+	MonitorViolations int
 	// Artifacts pins the first bad trial's forensic capture (or the last
 	// clean one's), like Summary.
 	Artifacts    *Artifacts
@@ -156,12 +156,13 @@ func (s *FailoverSummary) add(res FailoverTrial) {
 	if res.Artifacts != nil {
 		if !s.artifactsBad {
 			s.Artifacts = res.Artifacts
-			if !res.Ok() {
-				s.artifactsBad = true
+			if !res.Ok() || res.MonitorViolations > 0 {
+				s.artifactsBad = true // pin the first bad trial's capture
 			}
 		}
 		res.Artifacts = nil
 	}
+	s.MonitorViolations += res.MonitorViolations
 	s.Trials = append(s.Trials, res)
 	s.TotalAcked += res.Acked
 	s.TotalLost += res.Missing
@@ -197,9 +198,9 @@ func (s FailoverSummary) UnavailPercentile(q float64) time.Duration {
 }
 
 func (s FailoverSummary) String() string {
-	return fmt.Sprintf("failover/%s: %d trials, %d acked, %d lost, %d violating, %d split-brain, %d incomplete, %d errors, unavailability p50 %v p99 %v",
+	return fmt.Sprintf("failover/%s: %d trials, %d acked, %d lost, %d violating, %d split-brain, %d incomplete, %d errors, %d monitor violations, unavailability p50 %v p99 %v",
 		s.Config.Fault, len(s.Trials), s.TotalAcked, s.TotalLost, s.Violations,
-		s.SplitBrains, s.Incomplete, s.Errors,
+		s.SplitBrains, s.Incomplete, s.Errors, s.MonitorViolations,
 		s.UnavailPercentile(0.50).Round(time.Millisecond),
 		s.UnavailPercentile(0.99).Round(time.Millisecond))
 }
@@ -216,41 +217,13 @@ func RunFailoverCampaign(cfg FailoverConfig) FailoverSummary {
 		sum.Errors = 1
 		return sum
 	}
-	par := cfg.Parallel
-	if par <= 0 {
-		par = runtime.GOMAXPROCS(0)
-	}
-	if par > cfg.Trials {
-		par = cfg.Trials
-	}
-	results := make([]FailoverTrial, cfg.Trials)
-	if par <= 1 {
-		for i := 0; i < cfg.Trials; i++ {
-			results[i] = RunFailoverTrial(cfg, cfg.Cluster.Rig.Seed+int64(i)*7919)
+	for i, res := range runTrials(cfg.Trials, cfg.Parallel, cfg.Cluster.Rig.Seed, func(seed int64) FailoverTrial {
+		return RunFailoverTrial(cfg, seed)
+	}) {
+		if res.Artifacts != nil {
+			res.Artifacts.Trial = i
 		}
-	} else {
-		idx := make(chan int)
-		var wg sync.WaitGroup
-		for w := 0; w < par; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range idx {
-					results[i] = RunFailoverTrial(cfg, cfg.Cluster.Rig.Seed+int64(i)*7919)
-				}
-			}()
-		}
-		for i := 0; i < cfg.Trials; i++ {
-			idx <- i
-		}
-		close(idx)
-		wg.Wait()
-	}
-	for i := range results {
-		if results[i].Artifacts != nil {
-			results[i].Artifacts.Trial = i
-		}
-		sum.add(results[i])
+		sum.add(res)
 	}
 	return sum
 }

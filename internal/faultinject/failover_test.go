@@ -97,3 +97,28 @@ func TestFailoverTrialForensics(t *testing.T) {
 		t.Fatalf("promotion replayed nothing: %+v", res)
 	}
 }
+
+// TestFailoverSummaryKeepsMonitorViolation: a trial whose monitor fired an
+// invariant other than split-brain is counted, and its artifacts stay
+// pinned over a later clean trial's.
+func TestFailoverSummaryKeepsMonitorViolation(t *testing.T) {
+	clean := FailoverTrial{Failovers: 1, Unavailable: time.Second}
+	flagged := clean
+	flagged.Seed, flagged.MonitorViolations = 1, 2
+	flagged.Artifacts = &Artifacts{Seed: 1}
+	clean.Seed = 2
+	clean.Artifacts = &Artifacts{Seed: 2}
+	if !flagged.Ok() {
+		t.Fatal("flagged trial must be otherwise clean")
+	}
+
+	var sum FailoverSummary
+	sum.add(flagged)
+	sum.add(clean)
+	if sum.MonitorViolations != 2 {
+		t.Fatalf("MonitorViolations = %d, want 2", sum.MonitorViolations)
+	}
+	if sum.Artifacts == nil || sum.Artifacts.Seed != 1 {
+		t.Fatalf("retained artifacts %+v, want the flagged trial's (seed 1)", sum.Artifacts)
+	}
+}

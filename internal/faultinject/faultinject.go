@@ -318,43 +318,46 @@ func RunCampaign(cfg CampaignConfig) Summary {
 		sum.Errors = 1
 		return sum
 	}
-	par := cfg.Parallel
+	for i, res := range runTrials(cfg.Trials, cfg.Parallel, cfg.Rig.Seed, func(seed int64) TrialResult {
+		return RunTrial(cfg, seed)
+	}) {
+		if res.Artifacts != nil {
+			res.Artifacts.Trial = i
+		}
+		sum.add(res)
+	}
+	return sum
+}
+
+// runTrials runs trial for n seeds base+i·7919 on a pool of par workers
+// (par <= 0 means GOMAXPROCS) and returns the results in seed order. Each
+// trial is one sealed simulation whose schedule depends only on its seed,
+// so the pool size changes wall-clock time and nothing else.
+func runTrials[T any](n, par int, base int64, trial func(seed int64) T) []T {
 	if par <= 0 {
 		par = runtime.GOMAXPROCS(0)
 	}
-	if par > cfg.Trials {
-		par = cfg.Trials
+	if par > n {
+		par = n
 	}
-	results := make([]TrialResult, cfg.Trials)
-	if par <= 1 {
-		for i := 0; i < cfg.Trials; i++ {
-			results[i] = RunTrial(cfg, cfg.Rig.Seed+int64(i)*7919)
-		}
-	} else {
-		idx := make(chan int)
-		var wg sync.WaitGroup
-		for w := 0; w < par; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range idx {
-					results[i] = RunTrial(cfg, cfg.Rig.Seed+int64(i)*7919)
-				}
-			}()
-		}
-		for i := 0; i < cfg.Trials; i++ {
-			idx <- i
-		}
-		close(idx)
-		wg.Wait()
+	results := make([]T, n)
+	idx := make(chan int)
+	var wg sync.WaitGroup
+	for w := 0; w < par; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range idx {
+				results[i] = trial(base + int64(i)*7919)
+			}
+		}()
 	}
-	for i := range results {
-		if results[i].Artifacts != nil {
-			results[i].Artifacts.Trial = i
-		}
-		sum.add(results[i])
+	for i := 0; i < n; i++ {
+		idx <- i
 	}
-	return sum
+	close(idx)
+	wg.Wait()
+	return results
 }
 
 // debugHook, when non-nil, runs inside the audit of a trial that lost

@@ -63,35 +63,24 @@ type Cluster interface {
 	Promote(p *sim.Proc, winnerStore string, epoch int) (int64, error)
 }
 
+// The coordinator's endpoint and detector timing.
+const (
+	// coordName is the coordinator's fabric endpoint.
+	coordName = "ha.coord"
+	// heartbeatEvery is the ping cadence.
+	heartbeatEvery = 20 * time.Millisecond
+	// failAfter is how long the leader may stay silent before a takeover
+	// begins (six missed heartbeats).
+	failAfter = 120 * time.Millisecond
+	// roundTimeout bounds one census/fence round before unanswered
+	// requests are resent.
+	roundTimeout = 30 * time.Millisecond
+)
+
 // Config parameterises the coordinator.
 type Config struct {
-	// Name is the coordinator's fabric endpoint; default "ha.coord".
-	Name string
-	// HeartbeatEvery is the ping cadence; default 20ms.
-	HeartbeatEvery time.Duration
-	// FailAfter is how long the leader may stay silent before a takeover
-	// begins; default 120ms (six missed heartbeats).
-	FailAfter time.Duration
-	// RoundTimeout bounds one census/fence round before unanswered
-	// requests are resent; default 30ms.
-	RoundTimeout time.Duration
-	Reg          *obs.Registry
-	Trace        *obs.Tracer
-}
-
-func (c *Config) applyDefaults() {
-	if c.Name == "" {
-		c.Name = "ha.coord"
-	}
-	if c.HeartbeatEvery == 0 {
-		c.HeartbeatEvery = 20 * time.Millisecond
-	}
-	if c.FailAfter == 0 {
-		c.FailAfter = 120 * time.Millisecond
-	}
-	if c.RoundTimeout == 0 {
-		c.RoundTimeout = 30 * time.Millisecond
-	}
+	Reg   *obs.Registry
+	Trace *obs.Tracer
 }
 
 // Ping is a coordinator→leader liveness probe; Pong is the agent's reply.
@@ -114,7 +103,6 @@ type Coordinator struct {
 	s   *sim.Sim
 	fab *netsim.Fabric
 	cl  Cluster
-	cfg Config
 	tr  *obs.Tracer
 
 	dom *sim.Domain
@@ -130,10 +118,9 @@ type Coordinator struct {
 // New builds a coordinator on its own sim-level domain (it is not part of
 // any machine) and starts the detector loop.
 func New(s *sim.Sim, fab *netsim.Fabric, cl Cluster, cfg Config) *Coordinator {
-	cfg.applyDefaults()
 	co := &Coordinator{
-		s: s, fab: fab, cl: cl, cfg: cfg, tr: cfg.Trace,
-		ep:        fab.Endpoint(cfg.Name),
+		s: s, fab: fab, cl: cl, tr: cfg.Trace,
+		ep:        fab.Endpoint(coordName),
 		elections: cfg.Reg.Counter("ha.elections"),
 		promoteB:  cfg.Reg.Counter("ha.promote_replay_bytes"),
 	}
@@ -153,7 +140,7 @@ func (co *Coordinator) Crash() {
 	if co.dom != nil {
 		co.dom.Kill()
 	}
-	co.fab.Isolate(co.cfg.Name)
+	co.fab.Isolate(coordName)
 	co.s.Tracef("ha: coordinator crashed")
 }
 
@@ -166,14 +153,14 @@ func (co *Coordinator) Restart() {
 			break
 		}
 	}
-	co.fab.Restore(co.cfg.Name)
+	co.fab.Restore(coordName)
 	co.start()
 	co.s.Tracef("ha: coordinator restarted")
 }
 
 func (co *Coordinator) start() {
-	co.dom = co.s.NewDomain(co.cfg.Name)
-	co.s.Spawn(co.dom, co.cfg.Name, co.run)
+	co.dom = co.s.NewDomain(coordName)
+	co.s.Spawn(co.dom, coordName, co.run)
 }
 
 func (co *Coordinator) run(p *sim.Proc) {
@@ -181,7 +168,7 @@ func (co *Coordinator) run(p *sim.Proc) {
 	lastPong := p.Now()
 	var seq uint64
 	for {
-		p.Sleep(co.cfg.HeartbeatEvery)
+		p.Sleep(heartbeatEvery)
 		leader := co.cl.LeaderAgent()
 		for {
 			m, ok := co.ep.TryRecv()
@@ -195,8 +182,8 @@ func (co *Coordinator) run(p *sim.Proc) {
 			}
 		}
 		seq++
-		co.ep.Send(leader, MsgBytes, Ping{Seq: seq, From: co.cfg.Name})
-		if p.Now().Sub(lastPong) > co.cfg.FailAfter {
+		co.ep.Send(leader, MsgBytes, Ping{Seq: seq, From: coordName})
+		if p.Now().Sub(lastPong) > failAfter {
 			co.failover(p)
 			lastPong = p.Now()
 		}
@@ -217,7 +204,7 @@ func (co *Coordinator) failover(p *sim.Proc) {
 	for len(states) < need {
 		for _, pn := range peers {
 			if _, ok := states[pn]; !ok {
-				co.ep.Send(pn, MsgBytes, replica.StateReq{From: co.cfg.Name})
+				co.ep.Send(pn, MsgBytes, replica.StateReq{From: coordName})
 			}
 		}
 		co.collect(p, func(payload any) {
@@ -268,10 +255,10 @@ func (co *Coordinator) failover(p *sim.Proc) {
 	for !acks[winner] || len(acks) < need {
 		for _, pn := range co.cl.AllStores() {
 			if !acks[pn] {
-				co.ep.Send(pn, MsgBytes, replica.FenceMsg{Epoch: epoch, From: co.cfg.Name})
+				co.ep.Send(pn, MsgBytes, replica.FenceMsg{Epoch: epoch, From: coordName})
 			}
 		}
-		co.ep.Send(co.cl.LeaderPrimary(), MsgBytes, replica.FenceMsg{Epoch: epoch, From: co.cfg.Name})
+		co.ep.Send(co.cl.LeaderPrimary(), MsgBytes, replica.FenceMsg{Epoch: epoch, From: coordName})
 		co.collect(p, func(payload any) {
 			if fa, ok := payload.(replica.FenceAck); ok && fa.Epoch >= epoch && peerSet[fa.From] {
 				acks[fa.From] = true
@@ -292,10 +279,10 @@ func (co *Coordinator) failover(p *sim.Proc) {
 	co.s.Tracef("ha: promoted %s at epoch %d (%d bytes replayed)", winner, epoch, bytes)
 }
 
-// collect polls the coordinator inbox for up to one RoundTimeout, feeding
+// collect polls the coordinator inbox for up to one roundTimeout, feeding
 // every payload to sink, returning early once done() is satisfied.
 func (co *Coordinator) collect(p *sim.Proc, sink func(any), done func() bool) {
-	deadline := p.Now().Add(co.cfg.RoundTimeout)
+	deadline := p.Now().Add(roundTimeout)
 	for p.Now() < deadline && !done() {
 		if m, ok := co.ep.TryRecv(); ok {
 			sink(m.Payload)
@@ -313,12 +300,12 @@ func (co *Coordinator) collect(p *sim.Proc, sink func(any), done func() bool) {
 // loop for the coordinator's inbox.
 func (co *Coordinator) FenceNode(p *sim.Proc, store string) {
 	epoch := co.cl.MaxEpoch()
-	name := co.cfg.Name + ".rejoin"
+	name := coordName + ".rejoin"
 	ep := co.fab.Endpoint(name)
 	for {
 		ep.Send(store, MsgBytes, replica.FenceMsg{Epoch: epoch, From: name})
 		acked := false
-		deadline := p.Now().Add(co.cfg.RoundTimeout)
+		deadline := p.Now().Add(roundTimeout)
 		for p.Now() < deadline && !acked {
 			if m, ok := ep.TryRecv(); ok {
 				if fa, ok := m.Payload.(replica.FenceAck); ok && fa.From == store && fa.Epoch >= epoch {

@@ -49,7 +49,7 @@ func TestNativePlatformIdentityCosts(t *testing.T) {
 
 func TestGuestIOPaysExitCost(t *testing.T) {
 	s, m, logd, datad := rig(1)
-	h := New(m, Config{ExitCost: 100 * time.Microsecond})
+	h := New(m, Config{})
 	g := h.NewGuest("db", logd, datad)
 	var raw, virt time.Duration
 	s.Spawn(nil, "raw", func(p *sim.Proc) {
@@ -66,17 +66,17 @@ func TestGuestIOPaysExitCost(t *testing.T) {
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if got := virt - raw; got != 100*time.Microsecond {
-		t.Fatalf("exit cost = %v, want 100µs", got)
+	if got := virt - raw; got != exitCost {
+		t.Fatalf("exit cost = %v, want %v", got, exitCost)
 	}
 }
 
 func TestGuestCPUOverhead(t *testing.T) {
 	_, m, logd, datad := rig(1)
-	h := New(m, Config{CPUOverhead: 0.10})
+	h := New(m, Config{})
 	g := h.NewGuest("db", logd, datad)
-	if got := g.CPUTime(time.Millisecond); got != 1100*time.Microsecond {
-		t.Fatalf("CPUTime = %v, want 1.1ms", got)
+	if got := g.CPUTime(time.Millisecond); got != 1050*time.Microsecond {
+		t.Fatalf("CPUTime = %v, want 1.05ms", got)
 	}
 }
 
@@ -171,13 +171,5 @@ func TestVdiskPassthroughData(t *testing.T) {
 	}
 	if len(got) != 1024 || got[1] != 1 || got[513] != 1 {
 		t.Fatal("vdisk passthrough corrupted data")
-	}
-}
-
-func TestConfigDefaults(t *testing.T) {
-	_, m, _, _ := rig(1)
-	h := New(m, Config{})
-	if h.Config().ExitCost == 0 || h.Config().CPUOverhead == 0 {
-		t.Fatal("defaults not applied")
 	}
 }

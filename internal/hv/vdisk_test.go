@@ -33,7 +33,7 @@ func TestVdiskDelegatesGeometryAndStats(t *testing.T) {
 
 func TestVdiskReadAndFlushPayExitCost(t *testing.T) {
 	s, m, logd, datad := rig(1)
-	h := New(m, Config{ExitCost: 200 * time.Microsecond})
+	h := New(m, Config{})
 	g := h.NewGuest("db", logd, datad)
 	var readCost, flushCost time.Duration
 	s.Spawn(g.Domain(), "io", func(p *sim.Proc) {
@@ -52,10 +52,10 @@ func TestVdiskReadAndFlushPayExitCost(t *testing.T) {
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if readCost < 200*time.Microsecond {
+	if readCost < exitCost {
 		t.Fatalf("read cost %v missing exit cost", readCost)
 	}
-	if flushCost < 200*time.Microsecond {
+	if flushCost < exitCost {
 		t.Fatalf("flush cost %v missing exit cost", flushCost)
 	}
 }

@@ -7,18 +7,16 @@ import (
 	"time"
 )
 
-// FlightConfig parameterises a FlightRecorder.
-type FlightConfig struct {
-	// EventWindow is how many recent trace events a frozen record keeps
-	// (default 4096).
-	EventWindow int
-	// SnapEvery is the metric-snapshot cadence in virtual time
-	// (default 250ms).
-	SnapEvery time.Duration
-	// SnapWindow is how many periodic snapshots the ring keeps
-	// (default 16).
-	SnapWindow int
-}
+// The flight recorder's windows.
+const (
+	// flightEventWindow is how many recent trace events a frozen record
+	// keeps.
+	flightEventWindow = 4096
+	// flightSnapEvery is the metric-snapshot cadence in virtual time.
+	flightSnapEvery = 250 * time.Millisecond
+	// flightSnapWindow is how many periodic snapshots the ring keeps.
+	flightSnapWindow = 16
+)
 
 // FlightSnap is one periodic metrics snapshot in the recorder's ring.
 type FlightSnap struct {
@@ -67,28 +65,18 @@ func ReadFlightRecord(r io.Reader) (*FlightRecord, error) {
 type FlightRecorder struct {
 	o      *Obs
 	mon    *Monitor
-	cfg    FlightConfig
 	snaps  []FlightSnap
 	nsnaps int
 	frozen *FlightRecord
 }
 
 // NewFlightRecorder creates a recorder over an obs bundle; mon may be nil.
-func NewFlightRecorder(o *Obs, mon *Monitor, cfg FlightConfig) *FlightRecorder {
-	if cfg.EventWindow <= 0 {
-		cfg.EventWindow = 4096
-	}
-	if cfg.SnapEvery <= 0 {
-		cfg.SnapEvery = 250 * time.Millisecond
-	}
-	if cfg.SnapWindow <= 0 {
-		cfg.SnapWindow = 16
-	}
-	return &FlightRecorder{o: o, mon: mon, cfg: cfg, snaps: make([]FlightSnap, cfg.SnapWindow)}
+func NewFlightRecorder(o *Obs, mon *Monitor) *FlightRecorder {
+	return &FlightRecorder{o: o, mon: mon, snaps: make([]FlightSnap, flightSnapWindow)}
 }
 
-// SnapEvery returns the configured snapshot cadence.
-func (f *FlightRecorder) SnapEvery() time.Duration { return f.cfg.SnapEvery }
+// SnapEvery returns the cadence at which the owner should call Snap.
+func (f *FlightRecorder) SnapEvery() time.Duration { return flightSnapEvery }
 
 // Frozen reports whether the recorder already holds a record.
 func (f *FlightRecorder) Frozen() bool { return f != nil && f.frozen != nil }
@@ -111,9 +99,9 @@ func (f *FlightRecorder) Freeze(at time.Duration, reason string) {
 	tr := f.o.Tracer()
 	events := tr.Events()
 	truncated := tr.Dropped()
-	if len(events) > f.cfg.EventWindow {
-		truncated += len(events) - f.cfg.EventWindow
-		events = events[len(events)-f.cfg.EventWindow:]
+	if len(events) > flightEventWindow {
+		truncated += len(events) - flightEventWindow
+		events = events[len(events)-flightEventWindow:]
 	}
 	rec := &FlightRecord{
 		Reason:          reason,

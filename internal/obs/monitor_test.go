@@ -179,36 +179,43 @@ func TestMonitorObserverEmitsViolationMark(t *testing.T) {
 }
 
 func TestFlightRecorderFreezeRoundTrip(t *testing.T) {
-	o := New(Config{TraceEnabled: true, TraceCapacity: 128})
+	// The ring holds every event, so only the recorder's window truncates.
+	o := New(Config{TraceEnabled: true, TraceCapacity: 2 * flightEventWindow})
 	o.Registry().Counter("c").Add(7)
 	tr := o.Tracer()
 	tr.Label("standby0")
 	mon := NewMonitor(MonitorConfig{Bound: 100, Trace: tr})
 	tr.SetObserver(mon.Consume)
 
-	fr := NewFlightRecorder(o, mon, FlightConfig{EventWindow: 8, SnapWindow: 4})
-	for i := 0; i < 20; i++ {
-		tr.Emit(time.Duration(i)*time.Millisecond, EvHvAck, SpanID(i+1), 0, int64(i), 10)
-		fr.Snap(time.Duration(i) * time.Millisecond)
+	fr := NewFlightRecorder(o, mon)
+	const acks = flightEventWindow + 12
+	for i := 0; i < acks; i++ {
+		tr.Emit(time.Duration(i)*time.Microsecond, EvHvAck, SpanID(i+1), 0, int64(i), 10)
+		if i < flightSnapWindow+4 {
+			fr.Snap(time.Duration(i) * time.Microsecond)
+		}
 	}
 	if fr.Frozen() {
 		t.Fatalf("recorder froze with no trigger")
 	}
-	emitted := len(tr.Events()) // 20 hv_acks + the monitor's violation mark
+	emitted := len(tr.Events()) // the hv_acks + the monitor's violation mark
+	if tr.Dropped() != 0 {
+		t.Fatalf("trace ring dropped %d events", tr.Dropped())
+	}
 	fr.Freeze(25*time.Millisecond, "power-dc-loss")
 	fr.Freeze(30*time.Millisecond, "degraded") // first freeze wins
 	rec := fr.Record()
 	if rec == nil || rec.Reason != "power-dc-loss" {
 		t.Fatalf("Record = %+v", rec)
 	}
-	if len(rec.Events) != 8 {
-		t.Fatalf("kept %d events, want the 8-event window", len(rec.Events))
+	if len(rec.Events) != flightEventWindow {
+		t.Fatalf("kept %d events, want the %d-event window", len(rec.Events), flightEventWindow)
 	}
-	if rec.TruncatedEvents != emitted-8 {
-		t.Fatalf("TruncatedEvents = %d, want %d", rec.TruncatedEvents, emitted-8)
+	if rec.TruncatedEvents != emitted-flightEventWindow {
+		t.Fatalf("TruncatedEvents = %d, want %d", rec.TruncatedEvents, emitted-flightEventWindow)
 	}
-	if len(rec.Snapshots) != 4 {
-		t.Fatalf("kept %d snapshots, want the 4-snap ring", len(rec.Snapshots))
+	if len(rec.Snapshots) != flightSnapWindow {
+		t.Fatalf("kept %d snapshots, want the %d-snap ring", len(rec.Snapshots), flightSnapWindow)
 	}
 	if rec.Monitor == nil {
 		t.Fatalf("no monitor verdict attached")
@@ -234,7 +241,7 @@ func TestFlightRecorderFreezeRoundTrip(t *testing.T) {
 	}
 	// Frozen means frozen: later snaps are no-ops.
 	fr.Snap(40 * time.Millisecond)
-	if len(fr.Record().Snapshots) != 4 {
+	if len(fr.Record().Snapshots) != flightSnapWindow {
 		t.Fatalf("snap after freeze mutated the record")
 	}
 }

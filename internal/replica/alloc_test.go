@@ -22,7 +22,7 @@ import (
 // between this path and the one it replaced (a fresh payload copy per
 // record per Ship, plus a retained-window reallocation per ack round).
 func TestShipSteadyStateAllocBound(t *testing.T) {
-	const batch = 64 // exactly MaxFrameRecords: each step is one frame per link
+	const batch = maxFrameRecords // each step is one frame per link
 	h := newHarness(t, 11, 2, netsim.LinkConfig{}, Config{})
 	kick := h.s.NewSignal("kick")
 	data := make([]byte, 512)

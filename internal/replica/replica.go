@@ -58,32 +58,39 @@ const (
 	ackBytes       = 24
 )
 
+// Fixed protocol constants.
+const (
+	// DefaultPrimaryName is the shipper's fabric endpoint when
+	// Config.PrimaryName is empty.
+	DefaultPrimaryName = "primary"
+	// retransmitEvery is the silent-replica probe interval: a replica whose
+	// acks have stalled for this long gets its oldest unacknowledged window
+	// resent.
+	retransmitEvery = 10 * time.Millisecond
+	// holeResendMin rate-limits hole-triggered retransmissions per replica
+	// (an ack reporting seen > acked means a gap lost on the wire): about
+	// two RTTs on the default link.
+	holeResendMin = 2 * time.Millisecond
+	// resendRecords bounds records resent to one replica per repair round.
+	resendRecords = 128
+	// maxFrameRecords caps how many pending records are coalesced into one
+	// wire frame. A flush fires synchronously the moment the cap is
+	// reached, so a single non-yielding producer still frames.
+	maxFrameRecords = 64
+	// maxFrameBytes caps a frame's payload bytes. A single record larger
+	// than the cap still ships — alone in its own frame.
+	maxFrameBytes = 256 << 10
+	// applyDelay is the standby-side cost of processing one record
+	// (validate, append to its durable log).
+	applyDelay = 2 * time.Microsecond
+)
+
 // Config tunes the shipping protocol. The same Config parameterises the
 // Shipper and every Standby so both sides agree on names.
 type Config struct {
-	// PrimaryName is the shipper's endpoint on the fabric; default "primary".
+	// PrimaryName is the shipper's endpoint on the fabric; default
+	// DefaultPrimaryName.
 	PrimaryName string
-	// RetransmitEvery is the silent-replica probe interval: a replica whose
-	// acks have stalled for this long gets its oldest unacknowledged window
-	// resent. Default 10ms.
-	RetransmitEvery time.Duration
-	// HoleResendMin rate-limits hole-triggered retransmissions per replica
-	// (an ack reporting seen > acked means a gap lost on the wire). Default
-	// 2ms — about two RTTs on the default link.
-	HoleResendMin time.Duration
-	// ResendWindow bounds records resent to one replica per repair round;
-	// default 128.
-	ResendWindow int
-	// MaxFrameRecords caps how many pending records are coalesced into one
-	// wire frame; default 64. A flush fires synchronously the moment the
-	// cap is reached, so a single non-yielding producer still frames.
-	MaxFrameRecords int
-	// MaxFrameBytes caps a frame's payload bytes; default 256 KiB. A single
-	// record larger than the cap still ships — alone in its own frame.
-	MaxFrameBytes int
-	// ApplyDelay is the standby-side cost of processing one record
-	// (validate, append to its durable log); default 2µs.
-	ApplyDelay time.Duration
 	// SectorSize is the log device's sector granularity. Shipped records are
 	// sector images — recovery folds them back onto sector boundaries — so
 	// Ship panics on a payload that is not a whole number of sectors: that
@@ -119,25 +126,7 @@ type Config struct {
 
 func (c *Config) applyDefaults() {
 	if c.PrimaryName == "" {
-		c.PrimaryName = "primary"
-	}
-	if c.RetransmitEvery == 0 {
-		c.RetransmitEvery = 10 * time.Millisecond
-	}
-	if c.HoleResendMin == 0 {
-		c.HoleResendMin = 2 * time.Millisecond
-	}
-	if c.ResendWindow == 0 {
-		c.ResendWindow = 128
-	}
-	if c.MaxFrameRecords == 0 {
-		c.MaxFrameRecords = 64
-	}
-	if c.MaxFrameBytes == 0 {
-		c.MaxFrameBytes = 256 << 10
-	}
-	if c.ApplyDelay == 0 {
-		c.ApplyDelay = 2 * time.Microsecond
+		c.PrimaryName = DefaultPrimaryName
 	}
 	if c.SectorSize == 0 {
 		c.SectorSize = 512
@@ -530,7 +519,7 @@ func (sh *Shipper) Ship(lba int64, data []byte) uint64 {
 	pb.refs++
 	sh.pending = append(sh.pending, rec)
 	sh.pendingBytes += len(data)
-	if len(sh.pending) >= sh.cfg.MaxFrameRecords || sh.pendingBytes >= sh.cfg.MaxFrameBytes {
+	if len(sh.pending) >= maxFrameRecords || sh.pendingBytes >= maxFrameBytes {
 		sh.flushPending()
 	} else if len(sh.pending) == 1 {
 		sh.flushSig.Broadcast()
@@ -563,14 +552,14 @@ func (sh *Shipper) flushLoop(p *sim.Proc) {
 }
 
 // flushPending cuts the pending queue into frames bounded by
-// MaxFrameRecords and MaxFrameBytes and broadcasts each. The cut>0 guard
-// lets a single record larger than MaxFrameBytes ship alone rather than
+// maxFrameRecords and maxFrameBytes and broadcasts each. The cut>0 guard
+// lets a single record larger than maxFrameBytes ship alone rather than
 // wedge the queue.
 func (sh *Shipper) flushPending() {
 	for len(sh.pending) > 0 {
 		cut, bytes := 0, 0
-		for cut < len(sh.pending) && cut < sh.cfg.MaxFrameRecords {
-			if cut > 0 && bytes+len(sh.pending[cut].Data) > sh.cfg.MaxFrameBytes {
+		for cut < len(sh.pending) && cut < maxFrameRecords {
+			if cut > 0 && bytes+len(sh.pending[cut].Data) > maxFrameBytes {
 				break
 			}
 			bytes += len(sh.pending[cut].Data)
@@ -645,6 +634,14 @@ func (sh *Shipper) WaitQuorum(p *sim.Proc, seq uint64, k int) {
 // core.NewLogger uses it to reject an ack policy whose quorum the replica
 // set can never satisfy.
 func (sh *Shipper) ReplicaCount() int { return len(sh.reps) }
+
+// RetentionBound returns the retained-bytes limit past which stalled
+// replicas are evicted, and the grace an online monitor should allow above
+// it: eviction legitimately takes an ack-stall window plus a couple of
+// probe rounds, so only retention high for longer is a violation.
+func (sh *Shipper) RetentionBound() (limit int64, grace time.Duration) {
+	return sh.cfg.RetainLimit, sh.cfg.DeadAfter + 2*retransmitEvery
+}
 
 // ReplicaProgress is one replica's view for reports.
 type ReplicaProgress struct {
@@ -878,7 +875,7 @@ func (sh *Shipper) ackLoop(p *sim.Proc) {
 		// window right away instead of waiting out the probe interval. A
 		// lost replica's gap starts before the retained stream — there is
 		// nothing to refill it with.
-		if !r.lost && am.Seen > am.Seq && r.ack < sh.next-1 && now.Sub(r.lastFill) >= sh.cfg.HoleResendMin {
+		if !r.lost && am.Seen > am.Seq && r.ack < sh.next-1 && now.Sub(r.lastFill) >= holeResendMin {
 			r.lastFill = now
 			sh.resendWindow(r)
 		}
@@ -920,14 +917,14 @@ func (sh *Shipper) probeLoop(p *sim.Proc) {
 			sh.workSig.Wait(p)
 			continue
 		}
-		p.Sleep(sh.cfg.RetransmitEvery)
+		p.Sleep(retransmitEvery)
 		now := sh.s.Now()
 		sh.reapStalled(now)
 		for _, r := range sh.reps {
 			if r.lost || r.ack >= sh.next-1 {
 				continue
 			}
-			if now.Sub(r.lastHeard) < sh.cfg.RetransmitEvery {
+			if now.Sub(r.lastHeard) < retransmitEvery {
 				continue // acks are flowing; hole repair owns the fast path
 			}
 			sh.resendWindow(r)
@@ -944,7 +941,7 @@ func (sh *Shipper) anyBehind() bool {
 	return false
 }
 
-// resendWindow retransmits up to ResendWindow retained records towards one
+// resendWindow retransmits up to resendRecords retained records towards one
 // replica's first unacknowledged sequence. Repair is pipelined: while the
 // replica's cumulative ack is advancing, each round extends past what was
 // already resent instead of resending overlapping windows — overlapping
@@ -960,14 +957,14 @@ func (sh *Shipper) resendWindow(r *repState) {
 	if lo < sh.base {
 		lo = sh.base
 	}
-	if r.fillHi >= lo && now.Sub(r.progressAt) < sh.cfg.RetransmitEvery {
+	if r.fillHi >= lo && now.Sub(r.progressAt) < retransmitEvery {
 		lo = r.fillHi + 1
 	}
 	hi := sh.next - 1
-	if maxAhead := uint64(sh.cfg.ResendWindow) * 8; hi > r.ack+maxAhead {
+	if maxAhead := uint64(resendRecords) * 8; hi > r.ack+maxAhead {
 		hi = r.ack + maxAhead
 	}
-	if span := uint64(sh.cfg.ResendWindow); hi >= lo && hi-lo+1 > span {
+	if span := uint64(resendRecords); hi >= lo && hi-lo+1 > span {
 		hi = lo + span - 1
 	}
 	if hi < lo {
@@ -983,9 +980,9 @@ func (sh *Shipper) resendWindow(r *repState) {
 		f := sh.getFrame()
 		f.epoch = sh.epoch
 		bytes := 0
-		for seq <= hi && len(f.recs) < sh.cfg.MaxFrameRecords {
+		for seq <= hi && len(f.recs) < maxFrameRecords {
 			rec := sh.retained[int(seq-sh.base)].rec
-			if len(f.recs) > 0 && bytes+len(rec.Data) > sh.cfg.MaxFrameBytes {
+			if len(f.recs) > 0 && bytes+len(rec.Data) > maxFrameBytes {
 				break
 			}
 			if rec.buf != nil {
@@ -1140,8 +1137,8 @@ func (st *Standby) spawnReceiver() {
 				}
 				st.handle(m2, &epochs, ackTo, &applied)
 			}
-			if applied > 0 && st.cfg.ApplyDelay > 0 {
-				p.Sleep(time.Duration(applied) * st.cfg.ApplyDelay)
+			if applied > 0 {
+				p.Sleep(time.Duration(applied) * applyDelay)
 			}
 			// One cumulative ack per epoch touched in this batch, addressed
 			// to whichever shipper carried that epoch's frames: a standby

@@ -26,9 +26,6 @@ type ClusterConfig struct {
 	// up to AckQuorum(1): a local-ack cluster has no safe takeover, since
 	// no census quorum intersects an empty ack quorum.
 	Rig Config
-	// HA parameterises the coordinator (heartbeat cadence, failure
-	// detection window, round timeouts).
-	HA ha.Config
 }
 
 func (c *ClusterConfig) applyDefaults() {
@@ -108,11 +105,9 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	s := sim.New(cfg.Rig.Seed)
 	o := obs.New(obs.Config{TraceEnabled: true, TraceCapacity: cfg.Rig.TraceCapacity})
 	c := &Cluster{Cfg: cfg, S: s, Obs: o, generation: 1}
-	c.Fabric = netsim.New(s, netsim.Config{Seed: cfg.Rig.NetSeed, Link: cfg.Rig.Net, Reg: o.Registry(), Trace: o.Tracer()})
+	c.Fabric = netsim.New(s, netsim.Config{Seed: cfg.Rig.netSeed(), Link: cfg.Rig.Net, Reg: o.Registry(), Trace: o.Tracer()})
 
-	rc := cfg.Rig.Replica
-	rc.Reg = o.Registry()
-	rc.Trace = o.Tracer()
+	rc := replica.Config{Reg: o.Registry(), Trace: o.Tracer()}
 	for i := 0; i < cfg.Nodes; i++ {
 		name := fmt.Sprintf("node%d", i)
 		c.nodes = append(c.nodes, &clusterNode{
@@ -144,10 +139,7 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	r.setupVerification()
 	c.Monitor, c.Flight = r.Monitor, r.Flight
 
-	hc := cfg.HA
-	hc.Reg = o.Registry()
-	hc.Trace = o.Tracer()
-	c.Coord = ha.New(s, c.Fabric, c, hc)
+	c.Coord = ha.New(s, c.Fabric, c, ha.Config{Reg: o.Registry(), Trace: o.Tracer()})
 	return c, nil
 }
 

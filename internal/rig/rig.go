@@ -63,7 +63,7 @@ func (m Mode) Virtualised() bool {
 func (m Mode) Replicated() bool { return m == RapiLogReplica }
 
 // PrimaryEndpoint is the primary machine's name on the replication fabric.
-const PrimaryEndpoint = "primary"
+const PrimaryEndpoint = replica.DefaultPrimaryName
 
 // CommitMode returns the engine commit policy the mode implies.
 func (m Mode) CommitMode() engine.CommitMode {
@@ -93,16 +93,10 @@ type Config struct {
 	SSD         disk.SSDConfig     // overrides for DiskSSD
 	PSU         power.PSUConfig    // default power.PSUMeasured
 	Cores       int                // default 4
-	HV          hv.Config
 	RapiLog     core.Config
 	// Engine knobs.
 	CheckpointEvery time.Duration
-	LockTimeout     time.Duration
 	NoDaemons       bool
-	// Partition sizes in sectors (512 B). Defaults: log 128 MiB, dump
-	// 64 MiB, data the remainder.
-	LogSectors  int64
-	DumpSectors int64
 	// DedicatedLogDisk puts the log and dump partitions on their own
 	// spindle (of the same kind), removing arm contention with data
 	// traffic — the classic deployment the paper's testbed used.
@@ -121,12 +115,9 @@ type Config struct {
 	// a remote durability domain buys when the local one fails.
 	DumpFault disk.FaultConfig
 	// Replication (Mode == RapiLogReplica only).
-	Replicas  int            // standby count; default 2
+	Replicas  int            // standby count; default core.DefaultReplicas
 	AckPolicy core.AckPolicy // default AckLocal
 	Net       netsim.LinkConfig
-	// NetSeed drives the fabric's private fault generator; default Seed+2.
-	NetSeed int64
-	Replica replica.Config
 	// Trace enables commit-lifecycle tracing; TraceCapacity sizes the event
 	// ring (default 1<<16). Metrics are always registered centrally on the
 	// rig's Obs bundle; only the tracer is gated, keeping the default rig
@@ -140,9 +131,6 @@ type Config struct {
 	// post-mortem FlightRecord (Rig.Flight, and RecoveryReport.Flight after
 	// RecoverAfterPower).
 	Flight bool
-	// FlightSnapEvery overrides the recorder's metric-snapshot cadence
-	// (default 250ms of virtual time).
-	FlightSnapEvery time.Duration
 
 	// Sharded-deployment plumbing, set only by NewSharded: namePrefix
 	// distinguishes this shard's disks, guests and procs on the shared
@@ -154,7 +142,7 @@ type Config struct {
 
 	// HA-cluster plumbing, set only by NewCluster and Cluster promotion:
 	// primaryName gives this node's shipper its own fabric endpoint (the
-	// node name, not the global "primary"); extFabric/extStandbys graft the
+	// node name, not PrimaryEndpoint); extFabric/extStandbys graft the
 	// rig onto the cluster's shared fabric and peer stores instead of
 	// building a private fleet; startEpoch makes a promoted rig continue
 	// the cluster's monotone epoch sequence; deferPlatform leaves platform
@@ -167,13 +155,15 @@ type Config struct {
 	deferPlatform bool
 }
 
-// primary returns the fabric endpoint this rig's shipper answers on.
-func (c *Config) primary() string {
-	if c.primaryName != "" {
-		return c.primaryName
-	}
-	return PrimaryEndpoint
-}
+// Partition sizes in sectors (512 B): log 128 MiB, dump 64 MiB; the data
+// partition takes the remainder.
+const (
+	logSectors  = 262144
+	dumpSectors = 131072
+)
+
+// netSeed drives the replication fabric's private fault generator.
+func (c *Config) netSeed() int64 { return c.Seed + 2 }
 
 func (c *Config) applyDefaults() {
 	if c.Mode == "" {
@@ -191,24 +181,13 @@ func (c *Config) applyDefaults() {
 	if c.Cores == 0 {
 		c.Cores = 4
 	}
-	if c.LogSectors == 0 {
-		c.LogSectors = 262144 // 128 MiB
-	}
-	if c.DumpSectors == 0 {
-		c.DumpSectors = 131072 // 64 MiB
-	}
 	if c.Mode.Replicated() {
 		if c.Replicas == 0 {
-			c.Replicas = 2
+			c.Replicas = core.DefaultReplicas
 		}
-		if c.NetSeed == 0 {
-			c.NetSeed = c.Seed + 2
-		}
-		// Mirror core's default so the rig's monitor and quorum tracing
-		// agree with the logger about the effective quorum size.
-		if c.AckPolicy.Remote() && c.AckPolicy.K == 0 {
-			c.AckPolicy.K = 1
-		}
+		// The rig's monitor and quorum tracing must agree with the logger
+		// about the effective quorum size.
+		c.AckPolicy = c.AckPolicy.Effective()
 	}
 }
 
@@ -300,7 +279,7 @@ func newOnSubstrate(cfg Config, s *sim.Sim, m *power.Machine, o *obs.Obs) (*Rig,
 	}
 	m.AttachDevice(dev)
 	logDev := dev
-	dataStart := cfg.LogSectors + cfg.DumpSectors
+	dataStart := int64(logSectors + dumpSectors)
 	if cfg.DedicatedLogDisk || (cfg.LogDiskKind != "" && cfg.LogDiskKind != cfg.Disk) {
 		logKind := cfg.Disk
 		if cfg.LogDiskKind != "" {
@@ -314,11 +293,11 @@ func newOnSubstrate(cfg Config, s *sim.Sim, m *power.Machine, o *obs.Obs) (*Rig,
 		dataStart = 0
 	}
 
-	logPart, err := disk.NewPartition(logDev, "log", 0, cfg.LogSectors)
+	logPart, err := disk.NewPartition(logDev, "log", 0, logSectors)
 	if err != nil {
 		return nil, err
 	}
-	dumpPart, err := disk.NewPartition(logDev, "dump", cfg.LogSectors, cfg.DumpSectors)
+	dumpPart, err := disk.NewPartition(logDev, "dump", logSectors, dumpSectors)
 	if err != nil {
 		return nil, err
 	}
@@ -362,12 +341,13 @@ func newOnSubstrate(cfg Config, s *sim.Sim, m *power.Machine, o *obs.Obs) (*Rig,
 			r.Fabric = cfg.extFabric
 			r.Standbys = cfg.extStandbys
 		} else {
-			r.Fabric = netsim.New(s, netsim.Config{Seed: cfg.NetSeed, Link: cfg.Net, Reg: o.Registry(), Trace: o.Tracer()})
-			rc := cfg.Replica
-			rc.PrimaryName = cfg.primary()
-			rc.Reg = o.Registry()
-			rc.SectorSize = r.LogDev.SectorSize()
-			rc.Trace = o.Tracer()
+			r.Fabric = netsim.New(s, netsim.Config{Seed: cfg.netSeed(), Link: cfg.Net, Reg: o.Registry(), Trace: o.Tracer()})
+			rc := replica.Config{
+				PrimaryName: cfg.primaryName,
+				Reg:         o.Registry(),
+				SectorSize:  r.LogDev.SectorSize(),
+				Trace:       o.Tracer(),
+			}
 			for i := 0; i < cfg.Replicas; i++ {
 				// Endpoint names are scoped to this rig's private fabric, so no
 				// prefix is needed for uniqueness — just for trace readability.
@@ -417,29 +397,15 @@ func (r *Rig) setupVerification() {
 			mc.Bound = r.Logger.MaxBuffer()
 		}
 	}
-	if r.Cfg.Mode.Replicated() {
-		rc := r.Cfg.Replica
-		mc.RetainLimit = rc.RetainLimit
-		if mc.RetainLimit == 0 {
-			mc.RetainLimit = 64 << 20 // replica.Config's own default
-		}
-		dead, probe := rc.DeadAfter, rc.RetransmitEvery
-		if dead == 0 {
-			dead = 500 * time.Millisecond
-		}
-		if probe == 0 {
-			probe = 10 * time.Millisecond
-		}
-		// Eviction legitimately takes an ack-stall window plus a couple of
-		// probe rounds; only beyond that is high retention a violation.
-		mc.RetainGrace = dead + 2*probe
+	if r.Shipper != nil {
+		mc.RetainLimit, mc.RetainGrace = r.Shipper.RetentionBound()
 	}
 	r.Monitor = obs.NewMonitor(mc)
 	if !r.Cfg.Flight {
 		tr.SetObserver(r.Monitor.Consume)
 		return
 	}
-	r.Flight = obs.NewFlightRecorder(r.Obs, r.Monitor, obs.FlightConfig{SnapEvery: r.Cfg.FlightSnapEvery})
+	r.Flight = obs.NewFlightRecorder(r.Obs, r.Monitor)
 	fl := r.Flight
 	r.Monitor.OnViolation = func(v obs.Violation) {
 		fl.Freeze(v.At(), "invariant:"+v.Invariant)
@@ -477,9 +443,7 @@ func (r *Rig) assemblePlatform() error {
 		return nil
 	case VirtSync:
 		if r.HV == nil {
-			hvCfg := cfg.HV
-			hvCfg.Obs = r.Obs
-			r.HV = hv.New(r.Machine, hvCfg)
+			r.HV = hv.New(r.Machine, hv.Config{Obs: r.Obs})
 		}
 		if r.Plat == nil {
 			r.Plat = r.HV.NewGuest(cfg.namePrefix+"db", r.LogDev, r.DataPart)
@@ -493,9 +457,7 @@ func (r *Rig) assemblePlatform() error {
 			r.HV = cfg.sharedHV
 		}
 		if r.HV == nil {
-			hvCfg := cfg.HV
-			hvCfg.Obs = r.Obs
-			r.HV = hv.New(r.Machine, hvCfg)
+			r.HV = hv.New(r.Machine, hv.Config{Obs: r.Obs})
 		}
 		rlCfg := cfg.RapiLog
 		rlCfg.Obs = r.Obs
@@ -521,11 +483,12 @@ func (r *Rig) assemblePlatform() error {
 			for i, st := range r.Standbys {
 				names[i] = st.Name()
 			}
-			rc := cfg.Replica
-			rc.PrimaryName = cfg.primary()
-			rc.Reg = r.Obs.Registry()
-			rc.SectorSize = r.LogDev.SectorSize()
-			rc.Trace = r.Obs.Tracer()
+			rc := replica.Config{
+				PrimaryName: cfg.primaryName,
+				Reg:         r.Obs.Registry(),
+				SectorSize:  r.LogDev.SectorSize(),
+				Trace:       r.Obs.Tracer(),
+			}
 			if cfg.AckPolicy.Remote() {
 				rc.TraceQuorumK = cfg.AckPolicy.K
 			} else {
@@ -559,7 +522,6 @@ func (r *Rig) EngineConfig() engine.Config {
 		Personality:     r.Cfg.Personality,
 		CommitMode:      r.Cfg.Mode.CommitMode(),
 		CheckpointEvery: r.Cfg.CheckpointEvery,
-		LockTimeout:     r.Cfg.LockTimeout,
 		NoDaemons:       r.Cfg.NoDaemons,
 		Obs:             r.Obs,
 	}

@@ -54,9 +54,7 @@ func NewSharded(cfg Config, n int) (*Sharded, error) {
 	o := obs.New(obs.Config{TraceEnabled: cfg.Trace || cfg.Flight, TraceCapacity: cfg.TraceCapacity})
 	m := power.NewMachine(s, "machine", cfg.Cores, cfg.PSU)
 	m.SetObs(o)
-	hvCfg := cfg.HV
-	hvCfg.Obs = o
-	hyp := hv.New(m, hvCfg)
+	hyp := hv.New(m, hv.Config{Obs: o})
 
 	sh := &Sharded{
 		Cfg: cfg, N: n, S: s, Machine: m, HV: hyp, Obs: o,
@@ -72,7 +70,6 @@ func NewSharded(cfg Config, n int) (*Sharded, error) {
 		// the same media-fault schedule would make "independent domains"
 		// fail together.
 		scfg.Seed = cfg.Seed + int64(i+1)*7919
-		scfg.NetSeed = 0
 		scfg.applyDefaults()
 		r, err := newOnSubstrate(scfg, s, m, o.Sub(shard.Prefix(i)))
 		if err != nil {

@@ -17,13 +17,14 @@ type Workload interface {
 	Do(p *sim.Proc, e *engine.Engine, j *Journal) error
 }
 
+// retries bounds lock-timeout retries per transaction.
+const retries = 3
+
 // RunnerConfig parameterises a client pool run.
 type RunnerConfig struct {
 	Clients  int           // default 1
 	Duration time.Duration // virtual time; default 10s
 	Warmup   time.Duration // excluded from stats; default 0
-	// Retries bounds lock-timeout retries per transaction; default 3.
-	Retries int
 	// Journal, if non-nil, records acked obligations for later
 	// verification.
 	Journal *Journal
@@ -35,9 +36,6 @@ func (c *RunnerConfig) applyDefaults() {
 	}
 	if c.Duration == 0 {
 		c.Duration = 10 * time.Second
-	}
-	if c.Retries == 0 {
-		c.Retries = 3
 	}
 }
 
@@ -115,7 +113,7 @@ func RunClients(p *sim.Proc, dom *sim.Domain, e *engine.Engine, w Workload, cfg 
 
 func doWithRetry(cp *sim.Proc, e *engine.Engine, w Workload, cfg RunnerConfig, client int) error {
 	var err error
-	for attempt := 0; attempt <= cfg.Retries; attempt++ {
+	for attempt := 0; attempt <= retries; attempt++ {
 		if st, ok := w.(*Stress); ok {
 			err = st.DoAs(cp, e, cfg.Journal, client)
 		} else {

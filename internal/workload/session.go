@@ -67,20 +67,24 @@ func (d *Directory) noteSuccess(gen int, at time.Duration) {
 	}
 }
 
+// Session retry policy.
+const (
+	// opTimeout bounds one attempt against the current leader before the
+	// session abandons it and re-consults the directory.
+	opTimeout = 150 * time.Millisecond
+	// maxAttempts bounds attempts (timeouts, redirects, retries) per
+	// operation before it counts as aborted.
+	maxAttempts = 60
+	// retryBackoff is the pause between attempts while the cluster has no
+	// reachable leader.
+	retryBackoff = 20 * time.Millisecond
+)
+
 // SessionConfig parameterises a failover-aware client pool.
 type SessionConfig struct {
 	Clients  int           // default 1
 	Duration time.Duration // virtual time; default 10s
 	Warmup   time.Duration // excluded from stats; default 0
-	// OpTimeout bounds one attempt against the current leader before the
-	// session abandons it and re-consults the directory; default 150ms.
-	OpTimeout time.Duration
-	// MaxAttempts bounds attempts (timeouts, redirects, retries) per
-	// operation before it counts as aborted; default 60.
-	MaxAttempts int
-	// RetryBackoff is the pause between attempts while the cluster has no
-	// reachable leader; default 20ms.
-	RetryBackoff time.Duration
 	// Journal, if non-nil, records acked obligations for the audit.
 	Journal *Journal
 	// Reg hosts the ha.redirects counter; Trace carries EvRedirect marks.
@@ -94,15 +98,6 @@ func (c *SessionConfig) applyDefaults() {
 	}
 	if c.Duration == 0 {
 		c.Duration = 10 * time.Second
-	}
-	if c.OpTimeout == 0 {
-		c.OpTimeout = 150 * time.Millisecond
-	}
-	if c.MaxAttempts == 0 {
-		c.MaxAttempts = 60
-	}
-	if c.RetryBackoff == 0 {
-		c.RetryBackoff = 20 * time.Millisecond
 	}
 }
 
@@ -172,17 +167,17 @@ type session struct {
 	gen       int // last generation this session talked to
 }
 
-// do runs one operation to completion or MaxAttempts.
+// do runs one operation to completion or maxAttempts.
 func (se *session) do(cp *sim.Proc) error {
 	s := cp.Sim()
 	var lastErr error
-	for attempt := 0; attempt < se.cfg.MaxAttempts; attempt++ {
+	for attempt := 0; attempt < maxAttempts; attempt++ {
 		ld := se.dir.Leader()
 		if ld.Eng == nil || ld.Dom == nil || ld.Dom.Dead() {
 			// No reachable leader: the unavailability window as a client
 			// experiences it. Back off and re-consult the directory.
 			lastErr = fmt.Errorf("session: no reachable leader (gen %d)", ld.Gen)
-			cp.Sleep(se.cfg.RetryBackoff)
+			cp.Sleep(retryBackoff)
 			continue
 		}
 		if ld.Gen != se.gen {
@@ -207,11 +202,11 @@ func (se *session) do(cp *sim.Proc) error {
 			}
 			opDone.Fire()
 		})
-		opDone.WaitTimeout(cp, se.cfg.OpTimeout)
+		opDone.WaitTimeout(cp, opTimeout)
 		if !opDone.Fired() {
 			worker.Kill()
 			lastErr = fmt.Errorf("session: op timeout against %s (gen %d)", ld.Name, ld.Gen)
-			cp.Sleep(se.cfg.RetryBackoff)
+			cp.Sleep(retryBackoff)
 			continue
 		}
 		if opErr == nil {
@@ -226,7 +221,7 @@ func (se *session) do(cp *sim.Proc) error {
 		}
 		// Anything else — the engine died under us, I/O failed — is worth
 		// a directory re-read after a backoff.
-		cp.Sleep(se.cfg.RetryBackoff)
+		cp.Sleep(retryBackoff)
 	}
 	return lastErr
 }
